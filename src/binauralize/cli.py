@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -20,6 +21,8 @@ from .config import Config, ConfigError, parse_config
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
+# eval method names whose checkpoint runs on transformed observations
+EVAL_TRANSFORMS = {"flipped": "flip", "audio-only": "zero"}
 
 
 def main(argv=None) -> int:
@@ -57,6 +60,16 @@ def _resolve_seed(args, cfg: Config) -> int:
     return cfg.get("train", "seed")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="binauralize",
@@ -90,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-s", type=float, default=None)
     p.add_argument("--lambda-g", type=float, default=None)
     p.add_argument("--lambda-p", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--epochs", type=_positive_int, default=None)
+    p.add_argument("--batch-size", type=_positive_int, default=None)
     p.add_argument("--observation-mode", choices=("normal", "zero"),
                    default="normal", help="zero = audio-only training")
     p.set_defaults(func=cmd_train)
@@ -111,7 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--methods", default="mono-mono",
-                   help="comma list: gt,mono-mono,full,backbone,audio-only,flipped")
+                   help="comma list: gt,mono-mono,full,backbone,audio-only,"
+                   "flipped; flipped mirrors and audio-only zeroes the "
+                   "observations")
     p.add_argument("--ckpt", action="append", default=[],
                    metavar="METHOD=PATH", help="checkpoint for a model method")
     p.add_argument("--split", default="test")
@@ -170,11 +185,12 @@ def cmd_train(args, cfg: Config, seed: int) -> int:
         from dataclasses import replace
         weights = replace(weights, **updates)
     tcfg = cfg.train_cfg(seed=seed)
-    if args.epochs is not None or args.batch_size is not None:
+    schedule = {k: v for k, v in (("epochs", args.epochs),
+                                  ("batch_size", args.batch_size))
+                if v is not None}
+    if schedule:
         from dataclasses import replace
-        tcfg = replace(tcfg,
-                       **({"epochs": args.epochs} if args.epochs else {}),
-                       **({"batch_size": args.batch_size} if args.batch_size else {}))
+        tcfg = replace(tcfg, **schedule)
     _, log = train(args.data, tcfg, weights, cfg.arch(), cfg.consistency(),
                    cfg.stft_params(), observation_mode=args.observation_mode,
                    out_checkpoint=args.out, log_path=args.log)
@@ -221,9 +237,13 @@ def cmd_eval(args, cfg: Config, seed: int) -> int:
             methods[name] = ckpts[name]
         else:
             raise ConfigError(f"method {name!r} needs --ckpt {name}=PATH")
+    transforms = {name: EVAL_TRANSFORMS[name] for name in methods
+                  if name in EVAL_TRANSFORMS}
+    t0 = time.monotonic()
     report = evaluate(args.data, methods, split=args.split,
-                      p=cfg.stft_params())
+                      p=cfg.stft_params(), transforms=transforms)
     print(report.table())
+    print(f"eval runtime: {time.monotonic() - t0:.1f}s", file=sys.stderr)
     if args.report:
         write_report(report, args.report)
     return 0

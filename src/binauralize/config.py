@@ -1,6 +1,6 @@
 """Structured-text configuration.
 
-Grammar: INI sections [stft] [room] [scene] [model] [train] [eval]; each line
+Grammar: INI sections [stft] [room] [scene] [model] [train]; each line
 `key = value`. Values are int/float/bool/str or comma-separated int tuples.
 Unknown sections or keys are rejected. Precedence: built-in defaults, then
 file values, then command-line overrides (--set section.key=value or the
@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 from typing import Any
 
 from .dsp.types import StftParams
 from .nn.model import ArchConfig
-from .room.shoebox import RirConfig
 from .scenegen.config import SceneGenConfig
 from .training.adam import TrainConfig
 from .training.losses import ConsistencyConfig, LossWeights
@@ -114,9 +112,6 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
         "lambda_p": (float, 1.0),
         "margin": (float, 0.5),
         "delta_max": (float, 1.0),
-    },
-    "eval": {
-        "stft_mode": (str, "sum"),
     },
 }
 

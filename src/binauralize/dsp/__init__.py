@@ -1,12 +1,11 @@
 from .types import (
     BinauralClip,
-    ComplexMask,
     ComplexSpectrogram,
     MagnitudeSpectrogram,
     StftParams,
     Waveform,
 )
-from .stft import stft, istft, apply_mask, griffin_lim, valid_interior
+from .stft import stft, istft, istft_array, griffin_lim, valid_interior
 from .envelope import envelope
 from .distances import stft_distance, env_distance
 from .rt60 import (
@@ -19,8 +18,8 @@ from .rt60 import (
 
 __all__ = [
     "Waveform", "BinauralClip", "StftParams", "ComplexSpectrogram",
-    "MagnitudeSpectrogram", "ComplexMask",
-    "stft", "istft", "apply_mask", "griffin_lim", "valid_interior",
+    "MagnitudeSpectrogram",
+    "stft", "istft", "istft_array", "griffin_lim", "valid_interior",
     "envelope", "stft_distance", "env_distance",
     "schroeder_rt60", "rt60_from_magspec", "decay_fit_segment",
     "NoEnergyError", "InsufficientDecayError",

@@ -2,8 +2,6 @@
 
 STFT distance sums the per-channel Frobenius distances between complex
 spectrograms (reported as a mean over clips by the evaluation harness).
-The alternative that measures only the difference channel is kept behind
-mode="difference" since published results do not pin the convention.
 
 ENV distance is the per-sample RMS of the envelope error, averaged over the
 two channels.
@@ -19,17 +17,12 @@ from .types import BinauralClip, StftParams
 
 
 def stft_distance(pred: BinauralClip, gt: BinauralClip,
-                  p: StftParams = StftParams(), mode: str = "sum") -> float:
+                  p: StftParams = StftParams()) -> float:
     if len(pred) != len(gt):
         raise ValueError(f"clip length mismatch: {len(pred)} vs {len(gt)}")
-    if mode == "sum":
-        d_l = np.linalg.norm(stft(pred.left, p).bins - stft(gt.left, p).bins)
-        d_r = np.linalg.norm(stft(pred.right, p).bins - stft(gt.right, p).bins)
-        return float(d_l + d_r)
-    if mode == "difference":
-        return float(np.linalg.norm(
-            stft(pred.difference(), p).bins - stft(gt.difference(), p).bins))
-    raise ValueError(f"unknown stft_distance mode {mode!r}")
+    d_l = np.linalg.norm(stft(pred.left, p).bins - stft(gt.left, p).bins)
+    d_r = np.linalg.norm(stft(pred.right, p).bins - stft(gt.right, p).bins)
+    return float(d_l + d_r)
 
 
 def env_distance(pred: BinauralClip, gt: BinauralClip) -> float:

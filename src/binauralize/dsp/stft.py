@@ -1,4 +1,4 @@
-"""STFT analysis/synthesis, complex masking, and Griffin-Lim phase retrieval.
+"""STFT analysis/synthesis and Griffin-Lim phase retrieval.
 
 Framing policy: frame i covers samples [i*hop, i*hop + window_size); samples
 past the last full window are dropped; each frame is multiplied by the
@@ -8,7 +8,8 @@ Synthesis is weighted overlap-add with sum-of-squared-window normalization
 (the least-squares STFT inverse), which reconstructs istft(stft(x)) exactly
 on the interior even for the 400/160 window/hop pair. The first and last
 ceil(window/hop) frames are the boundary region excluded from round-trip
-guarantees; see valid_interior().
+guarantees; see valid_interior(). istft_array runs the synthesis over any
+leading batch axes; istft is its typed single-spectrogram form.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from .types import ComplexMask, ComplexSpectrogram, MagnitudeSpectrogram, StftParams, Waveform
+from .types import ComplexSpectrogram, MagnitudeSpectrogram, StftParams, Waveform
 
 _EPS = 1e-12
 
@@ -33,30 +34,38 @@ def stft(w: Waveform, p: StftParams = StftParams()) -> ComplexSpectrogram:
 
 
 def istft(s: ComplexSpectrogram) -> Waveform:
-    p = s.params
-    n_frames = s.n_frames
+    return Waveform(istft_array(s.bins, s.params), s.sample_rate)
+
+
+def istft_array(bins: np.ndarray, p: StftParams) -> np.ndarray:
+    """Weighted overlap-add of (..., frames, bins) complex spectrograms.
+
+    Leading axes are a batch; each row is synthesized exactly as a single
+    spectrogram would be (frames are accumulated in ascending order).
+    """
+    n_frames = bins.shape[-2]
     if n_frames == 0:
         raise ValueError("empty spectrogram")
-    frames = np.fft.irfft(s.bins, n=p.fft_size, axis=1)[:, :p.window_size]
+    frames = np.fft.irfft(bins, n=p.fft_size, axis=-1)[..., :p.window_size]
     win = p.window_array()
-    frames = frames * win
+    frames *= win
 
     out_len = p.window_size + (n_frames - 1) * p.hop
-    acc = np.zeros(out_len)
+    acc = np.zeros(bins.shape[:-2] + (out_len,))
     wsum = np.zeros(out_len)
     win_sq = win * win
     for i in range(n_frames):
         lo = i * p.hop
-        acc[lo:lo + p.window_size] += frames[i]
+        acc[..., lo:lo + p.window_size] += frames[..., i, :]
         wsum[lo:lo + p.window_size] += win_sq
 
     covered = wsum > _EPS
     lo, hi = valid_interior(n_frames, p)
     if not np.all(covered[lo:hi]):
         raise ValueError("zero normalization denominator at interior samples")
-    out = np.zeros(out_len)
-    out[covered] = acc[covered] / wsum[covered]
-    return Waveform(out, s.sample_rate)
+    acc[..., covered] /= wsum[covered]
+    acc[..., ~covered] = 0.0
+    return acc
 
 
 def valid_interior(n_frames: int, p: StftParams) -> tuple[int, int]:
@@ -69,13 +78,6 @@ def valid_interior(n_frames: int, p: StftParams) -> tuple[int, int]:
     lo = k * p.hop
     hi = out_len - k * p.hop
     return lo, max(lo, hi)
-
-
-def apply_mask(m: ComplexMask, s: ComplexSpectrogram) -> ComplexSpectrogram:
-    if m.bins.shape != s.bins.shape:
-        raise ValueError(
-            f"mask shape {m.bins.shape} does not match spectrogram {s.bins.shape}")
-    return ComplexSpectrogram(m.bins * s.bins, s.params, s.sample_rate)
 
 
 def spectral_convergence(cur: np.ndarray, target_mag: np.ndarray, p: StftParams) -> float:

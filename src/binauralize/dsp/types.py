@@ -143,14 +143,3 @@ class MagnitudeSpectrogram:
         if self.bins.size and np.min(self.bins) < 0:
             raise ValueError("magnitude spectrogram has negative entries")
 
-
-@dataclass
-class ComplexMask:
-    """Per-bin complex multiplier; shape checked when applied."""
-
-    bins: np.ndarray
-
-    def __post_init__(self):
-        self.bins = np.asarray(self.bins, dtype=np.complex128)
-        if self.bins.ndim != 2:
-            raise ValueError(f"mask must be 2-D, got shape {self.bins.shape}")

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dsp.stft import stft
+from ..dsp.stft import istft_array, stft
 from ..dsp.types import BinauralClip, StftParams, Waveform
-from ..nn.autodiff import Tensor
-from ..nn.model import ArchConfig, mask_head, spec_to_net, visual_encode
+from ..nn.model import ArchConfig, difference_spec, mask_head, spec_to_net, \
+    visual_encode
 
 WINDOW_SECONDS = 0.63
 HOP_SECONDS = 0.1
@@ -44,7 +44,6 @@ def binauralize_clip(mono: Waveform, observations, params, arch: ArchConfig,
 
     starts = _window_starts(n, win, int(round(HOP_SECONDS * sr)))
     dtype = next(iter(params.values())).dtype
-    tparams = {k: Tensor(v) for k, v in params.items()}
 
     # synthesized difference signal spans window_size + (frames-1)*hop samples
     out_len = p.window_size + (p.n_frames(win) - 1) * p.hop
@@ -63,16 +62,10 @@ def binauralize_clip(mono: Waveform, observations, params, arch: ArchConfig,
                                      observation_transform))
         mono_spec = np.stack(specs)
         obs_batch = np.stack(frames).astype(dtype)
-        vfeat, _ = visual_encode(obs_batch, tparams, arch)
+        vfeat, _ = visual_encode(obs_batch, params, arch)
         masks = mask_head(spec_to_net(mono_spec, arch, dtype), vfeat,
-                          tparams, arch)
-        md = masks["d"].data.astype(np.float64)
-        frames_raw, bins_net = arch.frames_raw, arch.spec_bins
-        dp = (md[:, :frames_raw, :, 0] + 1j * md[:, :frames_raw, :, 1]) \
-            * mono_spec[:, :, :bins_net]
-        nyq = np.zeros((len(chunk), frames_raw, 1), dtype=np.complex128)
-        spec_full = np.concatenate([dp, nyq], axis=2)
-        a_d = _batched_istft(spec_full, p)
+                          params, arch)
+        a_d = istft_array(difference_spec(masks["d"].data, mono_spec), p)
         for k, s in enumerate(chunk):
             acc[s:s + out_len] += a_d[k] * tri
             weight[s:s + out_len] += tri
@@ -83,25 +76,6 @@ def binauralize_clip(mono: Waveform, observations, params, arch: ArchConfig,
     left = mono.samples + diff / 2.0
     right = mono.samples - diff / 2.0
     return BinauralClip(Waveform(left, sr), Waveform(right, sr))
-
-
-def _batched_istft(specs: np.ndarray, p: StftParams) -> np.ndarray:
-    """WOLA synthesis of (B, frames, bins) spectrogram batches at once."""
-    b, n_frames, _ = specs.shape
-    frames_t = np.fft.irfft(specs, n=p.fft_size, axis=2)[:, :, :p.window_size]
-    win = p.window_array()
-    frames_t *= win
-    out_len = p.window_size + (n_frames - 1) * p.hop
-    acc = np.zeros((b, out_len))
-    wsum = np.zeros(out_len)
-    for i in range(n_frames):
-        lo = i * p.hop
-        acc[:, lo:lo + p.window_size] += frames_t[:, i]
-        wsum[lo:lo + p.window_size] += win * win
-    covered = wsum > 1e-12
-    acc[:, covered] /= wsum[covered]
-    acc[:, ~covered] = 0.0
-    return acc
 
 
 def _window_starts(n, win, hop):

@@ -12,9 +12,9 @@ from ..dsp.rt60 import InsufficientDecayError, NoEnergyError, rt60_from_magspec
 from ..dsp.stft import griffin_lim
 from ..dsp.types import MagnitudeSpectrogram, StftParams
 from ..nn import autodiff as ad
-from ..nn.autodiff import Tensor
 from ..nn.checkpoint import load_checkpoint
-from ..nn.model import ArchConfig, init_params, rir_decode, visual_encode
+from ..nn.model import ArchConfig, as_tensor_params, coherence_classify, \
+    init_params, pair_to_net, rir_decode, visual_encode
 from ..scenegen.manifest import Manifest, read_manifest
 from .. import tensorfile, wavio
 
@@ -40,6 +40,8 @@ def rt60_probe(manifest, seed: int = 0, epochs: int = 40, lr: float = 1e-3,
     class structure when detailed=True). Bin edges come from the train split
     only.
     """
+    from ..training.adam import TrainConfig, adam_init, adam_step
+
     if not isinstance(manifest, Manifest):
         manifest = read_manifest(manifest)
     arch = arch or ArchConfig()
@@ -59,8 +61,8 @@ def rt60_probe(manifest, seed: int = 0, epochs: int = 40, lr: float = 1e-3,
         (arch.feature_dim, n_classes))).astype(np.float32)
     probe["head.b"] = np.zeros(n_classes, dtype=np.float32)
 
-    m = {k: np.zeros_like(v) for k, v in probe.items()}
-    v = {k: np.zeros_like(va) for k, va in probe.items()}
+    adam_cfg = TrainConfig(lr_other=lr)
+    state = adam_init(probe)
     step = 0
     for _ in range(epochs):
         order = rng.permutation(len(train_x))
@@ -68,12 +70,7 @@ def rt60_probe(manifest, seed: int = 0, epochs: int = 40, lr: float = 1e-3,
             idx = order[lo:lo + 32]
             grads = _probe_grad(probe, train_x[idx], train_y[idx], arch)
             step += 1
-            for k in probe:
-                m[k] = 0.9 * m[k] + 0.1 * grads[k]
-                v[k] = 0.999 * v[k] + 0.001 * grads[k] ** 2
-                mh = m[k] / (1 - 0.9 ** step)
-                vh = v[k] / (1 - 0.999 ** step)
-                probe[k] = probe[k] - lr * mh / (np.sqrt(vh) + 1e-8)
+            probe, state = adam_step(probe, grads, state, step, adam_cfg)
     pred = _probe_logits(probe, test_x, arch).argmax(axis=1)
     accuracy = float(np.mean(pred == test_y))
     if not detailed:
@@ -91,7 +88,6 @@ def coherence_accuracy(manifest, params, arch: ArchConfig,
                        split: str = "test", n_windows: int = 256,
                        seed: int = 0) -> float:
     """Held-out flip-detection accuracy of a trained coherence classifier."""
-    from ..nn.model import coherence_classify, pair_to_net, visual_encode
     from ..training.examples import build_batch, load_training_cache, make_example
 
     if not isinstance(manifest, Manifest):
@@ -102,22 +98,14 @@ def coherence_accuracy(manifest, params, arch: ArchConfig,
                 for i in range(n_windows)]
     dtype = next(iter(params.values())).dtype
     correct = total = 0
-    tparams = {k: Tensor(v) for k, v in params.items()}
     for lo in range(0, len(examples), 64):
         batch = build_batch(examples[lo:lo + 64], dtype=dtype)
-        vfeat, _ = visual_encode(batch.obs_t, tparams, arch)
-        pair = np.concatenate(
-            [_net(batch.coh_left, arch, dtype), _net(batch.coh_right, arch, dtype)],
-            axis=3)
-        prob = coherence_classify(pair, vfeat, tparams, arch).data
+        vfeat, _ = visual_encode(batch.obs_t, params, arch)
+        pair = pair_to_net(batch.coh_left, batch.coh_right, arch, dtype)
+        prob = coherence_classify(pair, vfeat, params, arch).data
         correct += int(np.sum((prob > 0.5) == batch.flipped))
         total += len(batch)
     return correct / total
-
-
-def _net(spec, arch, dtype):
-    from ..nn.model import spec_to_net
-    return spec_to_net(spec, arch, dtype)
 
 
 def _probe_dataset(manifest, split, edges, n_bins, frames_per_record: int = 8):
@@ -136,13 +124,12 @@ def _probe_dataset(manifest, split, edges, n_bins, frames_per_record: int = 8):
 
 
 def _probe_logits(probe, x, arch):
-    tp = {k: Tensor(v) for k, v in probe.items()}
-    feat, _ = visual_encode(x, tp, arch)
+    feat, _ = visual_encode(x, probe, arch)
     return (feat.data @ probe["head.w"]) + probe["head.b"]
 
 
 def _probe_grad(probe, x, y, arch):
-    tp = {k: Tensor(v) for k, v in probe.items()}
+    tp = as_tensor_params(probe)
     feat, _ = visual_encode(x, tp, arch)
     logits = ad.linear(feat, tp["head.w"], tp["head.b"])
     # stable softmax cross-entropy
@@ -165,7 +152,6 @@ def export_features(manifest, checkpoint, out_path) -> int:
     if not isinstance(manifest, Manifest):
         manifest = read_manifest(manifest)
     params, arch, _ = load_checkpoint(checkpoint)
-    tparams = {k: Tensor(v) for k, v in params.items()}
     dtype = next(iter(params.values())).dtype
     rows = 0
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -176,7 +162,7 @@ def export_features(manifest, checkpoint, out_path) -> int:
             azimuths = rec.metadata["azimuth_deg"]
             for lo in range(0, len(frames), 64):
                 chunk = frames[lo:lo + 64].astype(dtype)
-                feat, _ = visual_encode(chunk, tparams, arch)
+                feat, _ = visual_encode(chunk, params, arch)
                 for i, vec in enumerate(feat.data):
                     vals = [f"{x:.6g}" for x in vec]
                     vals += [f"{rec.rt60:.6g}", f"{azimuths[lo + i]:.6g}"]
@@ -193,10 +179,9 @@ def predict_rir(observation_pixels: np.ndarray, checkpoint, out_prefix=None,
     if not any(k.startswith("rir.") for k in params):
         raise ValueError("checkpoint lacks an RIR head")
     dtype = next(iter(params.values())).dtype
-    tparams = {k: Tensor(v) for k, v in params.items()}
     obs = observation_pixels[None].astype(dtype)
-    feat, _ = visual_encode(obs, tparams, arch)
-    spec = rir_decode(feat, tparams, arch).data[0].astype(np.float64)
+    feat, _ = visual_encode(obs, params, arch)
+    spec = rir_decode(feat, params, arch).data[0].astype(np.float64)
     # (frames, bins, 2) -> per-channel magnitude spectrograms
     result = {"spectrogram": spec}
     waves, rt60s = [], []

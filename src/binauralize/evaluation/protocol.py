@@ -20,7 +20,6 @@ from ..dsp.types import StftParams
 from ..nn.model import ArchConfig
 from ..scenegen.config import SceneGenConfig
 from ..scenegen.corpus import generate_corpus
-from ..scenegen.manifest import read_manifest
 from ..training.adam import TrainConfig
 from ..training.losses import ConsistencyConfig, LossWeights
 from ..training.loop import train
@@ -77,9 +76,6 @@ class TrainJob:
         return f"{self.variant}-s{self.seed}-{Path(self.corpus_dir).name}"
 
 
-_worker_cfg: ProtocolConfig | None = None
-
-
 def run_training_grid(cfg: ProtocolConfig, jobs_list: list[TrainJob],
                       out_dir) -> dict[str, dict]:
     """Train and evaluate every job; returns name -> metrics/checkpoint.
@@ -134,14 +130,15 @@ def run_one(cfg: ProtocolConfig, job: TrainJob, out_dir) -> dict:
                         cfg.consistency, cfg.stft,
                         observation_mode=observation_mode,
                         out_checkpoint=ckpt)
-    arch = cfg.arch
-    methods = {}
+    # a model trained without observations is evaluated without them
+    base = "zero" if observation_mode == "zero" else "none"
+    methods, transforms = {}, {}
     for transform in job.eval_transforms:
         label = job.variant if transform == "none" else f"{job.variant}+{transform}"
-        methods[label] = (params, arch)
-    manifest = read_manifest(job.corpus_dir)
-    report = {} if job.skip_eval else _evaluate_transformed(manifest, methods,
-                                                            job, cfg)
+        methods[label] = (params, cfg.arch)
+        transforms[label] = base if transform == "none" else transform
+    report = {} if job.skip_eval else evaluate(
+        job.corpus_dir, methods, p=cfg.stft, transforms=transforms).rows
     return {
         "checkpoint": str(ckpt),
         "steps": log[-1].get("steps", 0) if log else 0,
@@ -149,23 +146,6 @@ def run_one(cfg: ProtocolConfig, job: TrainJob, out_dir) -> dict:
                         default=float("nan")),
         "rows": report,
     }
-
-
-def _evaluate_transformed(manifest, methods, job, cfg) -> dict:
-    # evaluate() keys transforms off the method name; map variant names to
-    # the reserved ones it understands
-    rows = {}
-    for label, source in methods.items():
-        if label.endswith("+flip"):
-            rep = evaluate(manifest, {"flipped": source}, p=cfg.stft)
-            rows[label] = rep.rows["flipped"]
-        elif job.variant == "audio-only":
-            rep = evaluate(manifest, {"audio-only": source}, p=cfg.stft)
-            rows[label] = rep.rows["audio-only"]
-        else:
-            rep = evaluate(manifest, {"full": source}, p=cfg.stft)
-            rows[label] = rep.rows["full"]
-    return rows
 
 
 def generate_protocol_corpora(cfg: ProtocolConfig, root) -> dict[str, str]:

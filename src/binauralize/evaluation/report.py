@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from ..dsp.distances import env_distance, stft_distance
 from ..dsp.types import BinauralClip, StftParams
@@ -16,8 +13,6 @@ from ..scenegen.manifest import Manifest, read_manifest
 from .infer import binauralize_clip
 
 BUILTIN_METHODS = ("mono-mono", "gt")
-CHECKPOINT_METHODS = {"full": "none", "backbone": "none", "audio-only": "zero",
-                      "flipped": "flip"}
 
 
 @dataclass
@@ -25,11 +20,9 @@ class EvalReport:
     split: str
     clip_count: int
     rows: dict[str, dict[str, float]] = field(default_factory=dict)
-    runtime_seconds: float = 0.0
 
     def table(self) -> str:
-        lines = [f"split: {self.split}   clips: {self.clip_count}   "
-                 f"runtime: {self.runtime_seconds:.1f}s",
+        lines = [f"split: {self.split}   clips: {self.clip_count}",
                  f"{'method':<14} {'STFT':>8} {'ENV':>8}"]
         for name, row in self.rows.items():
             lines.append(f"{name:<14} {row['stft']:>8.4f} {row['env']:>8.4f}")
@@ -38,22 +31,29 @@ class EvalReport:
     def to_json(self) -> str:
         return json.dumps({
             "split": self.split, "clip_count": self.clip_count,
-            "runtime_seconds": round(self.runtime_seconds, 3),
             "rows": self.rows,
         }, sort_keys=True)
 
 
 def evaluate(manifest, methods: dict[str, object], split: str = "test",
-             p: StftParams = StftParams()) -> EvalReport:
+             p: StftParams = StftParams(),
+             transforms: dict[str, str] | None = None) -> EvalReport:
     """methods: name -> checkpoint path/(params, arch) for model methods, or
-    None for built-ins ("mono-mono", "gt"). "flipped"/"audio-only" use the
-    mapped observation transform with their given checkpoint.
+    None for built-ins ("mono-mono", "gt").
+
+    transforms: name -> observation transform of a model method ("none",
+    "zero" or "flip", see binauralize_clip); "none" where a name is absent.
     """
     if not isinstance(manifest, Manifest):
         manifest = read_manifest(manifest)
     subset = manifest.split(split)
     if len(subset) == 0:
         raise ValueError(f"no records in split {split!r}")
+    transforms = transforms or {}
+    for name in transforms:
+        if methods.get(name) is None:
+            raise ValueError(f"observation transform for {name!r}, which is "
+                             "not a checkpoint method")
 
     resolved = {}
     for name, source in methods.items():
@@ -67,31 +67,29 @@ def evaluate(manifest, methods: dict[str, object], split: str = "test",
             params, arch, _ = load_checkpoint(source)
             resolved[name] = (params, arch)
 
-    t0 = time.time()
     sums = {name: {"stft": 0.0, "env": 0.0} for name in methods}
     count = 0
     for rec in subset:
         gt = rec.clip
         mono = gt.mono()
         for name in methods:
-            pred = _predict(name, resolved[name], mono, rec, p)
+            pred = _predict(name, resolved[name], transforms.get(name, "none"),
+                            mono, rec, p)
             sums[name]["stft"] += stft_distance(pred, gt, p)
             sums[name]["env"] += env_distance(pred, gt)
         count += 1
     report = EvalReport(split=split, clip_count=count)
     for name in methods:
         report.rows[name] = {k: v / count for k, v in sums[name].items()}
-    report.runtime_seconds = time.time() - t0
     return report
 
 
-def _predict(name: str, resolved, mono, rec, p) -> BinauralClip:
+def _predict(name: str, resolved, transform: str, mono, rec, p) -> BinauralClip:
     if name == "gt":
         return rec.clip
     if name == "mono-mono":
         return BinauralClip(mono, mono)
     params, arch = resolved
-    transform = CHECKPOINT_METHODS.get(name, "none")
     return binauralize_clip(mono, rec.observations, params, arch, p,
                             observation_transform=transform)
 

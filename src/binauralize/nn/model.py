@@ -12,7 +12,7 @@ mask), which keeps the engineered identity initialization exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -291,8 +291,23 @@ def spec_to_net(spec: np.ndarray, arch: ArchConfig,
     return out
 
 
-def pair_to_net(left: np.ndarray, right: np.ndarray, arch: ArchConfig) -> np.ndarray:
+def difference_spec(mask_d: np.ndarray, mono_spec: np.ndarray) -> np.ndarray:
+    """Difference-route synthesis a_D = m_D * a_M on the raw STFT grid.
+
+    mask_d: (N, spec_frames, spec_bins, 2) real/imag difference mask; mono_spec:
+    complex (N, frames_raw, bins_raw). Returns complex128 (N, frames_raw,
+    bins_raw) with a zero Nyquist bin; the ears are a_M +- a_D/2.
+    """
+    md = mask_d.astype(np.float64)
+    frames_raw, bins_net = mono_spec.shape[1], md.shape[2]
+    out = np.zeros(mono_spec.shape, dtype=np.complex128)
+    out[:, :, :bins_net] = (md[:, :frames_raw, :, 0] + 1j * md[:, :frames_raw, :, 1]) \
+        * mono_spec[:, :, :bins_net]
+    return out
+
+
+def pair_to_net(left: np.ndarray, right: np.ndarray, arch: ArchConfig,
+                dtype=np.float64) -> np.ndarray:
     """two complex (N, frames_raw, bins_raw) -> real (N, ..., 4)."""
-    l = spec_to_net(left, arch)
-    r = spec_to_net(right, arch)
-    return np.concatenate([l, r], axis=3)
+    return np.concatenate([spec_to_net(left, arch, dtype),
+                           spec_to_net(right, arch, dtype)], axis=3)

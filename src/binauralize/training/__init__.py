@@ -1,11 +1,10 @@
 from .losses import (
     ConsistencyConfig,
     LossWeights,
-    loss_backbone,
+    loss_backbone_from_masks,
     loss_coherence,
     loss_geometric,
     loss_rir,
-    predicted_specs,
 )
 from .examples import CompactRecord, load_training_cache, make_example, build_batch
 from .adam import TrainConfig, adam_init, adam_step
@@ -14,8 +13,8 @@ from .loop import train
 
 __all__ = [
     "LossWeights", "ConsistencyConfig",
-    "loss_backbone", "loss_coherence", "loss_geometric", "loss_rir",
-    "predicted_specs",
+    "loss_backbone_from_masks", "loss_coherence", "loss_geometric",
+    "loss_rir",
     "CompactRecord", "load_training_cache", "make_example", "build_batch",
     "TrainConfig", "adam_init", "adam_step", "grad", "train",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,9 @@ class TrainConfig:
             raise ValueError("train config values must be positive")
         if not 0.0 <= self.flip_prob <= 1.0:
             raise ValueError("flip_prob must lie in [0, 1]")
+        if self.keep_params not in ("best", "final"):
+            raise ValueError(
+                f"keep_params must be 'best' or 'final', got {self.keep_params!r}")
 
     def lr_for(self, name: str) -> float:
         prefix = name.split(".")[0]

@@ -7,9 +7,8 @@ import numpy as np
 from ..dsp.types import StftParams
 from ..nn import autodiff as ad
 from ..nn.autodiff import Tensor
-from ..nn.model import ArchConfig, coherence_classify, mask_head, rir_decode, \
-    spec_to_net, visual_encode
-from .adam import TrainConfig
+from ..nn.model import ArchConfig, as_tensor_params, coherence_classify, \
+    mask_head, pair_to_net, rir_decode, spec_to_net, visual_encode
 from .examples import Batch
 from .losses import ConsistencyConfig, LossWeights, loss_backbone_from_masks, \
     loss_coherence, loss_geometric, loss_rir
@@ -30,7 +29,7 @@ def grad(loss_name: str, batch: Batch, params: dict[str, np.ndarray],
     """
     if loss_name not in LOSS_NAMES + ("total",):
         raise ValueError(f"unknown loss {loss_name!r}")
-    tparams = {k: Tensor(v) for k, v in params.items()}
+    tparams = as_tensor_params(params)
     dtype = next(iter(params.values())).dtype
     active = _active_terms(loss_name, weights)
 
@@ -51,9 +50,7 @@ def grad(loss_name: str, batch: Batch, params: dict[str, np.ndarray],
                                         batch.gt_d, batch.gt_l, batch.gt_r)
         accumulate(term, "B", weights.lambda_b if loss_name == "total" else 1.0)
     if "G" in active:
-        pair = np.concatenate([spec_to_net(batch.coh_left, arch, dtype),
-                               spec_to_net(batch.coh_right, arch, dtype)],
-                              axis=3)
+        pair = pair_to_net(batch.coh_left, batch.coh_right, arch, dtype)
         prob = coherence_classify(pair, vfeat, tparams, arch)
         term = loss_coherence(prob, batch.flipped)
         accumulate(term, "G", weights.lambda_g if loss_name == "total" else 1.0)

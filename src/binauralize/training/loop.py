@@ -10,7 +10,8 @@ import numpy as np
 
 from ..dsp.types import StftParams
 from ..nn.checkpoint import save_checkpoint
-from ..nn.model import ArchConfig, init_params, mask_head, spec_to_net, visual_encode
+from ..nn.model import ArchConfig, difference_spec, init_params, mask_head, \
+    spec_to_net, visual_encode
 from ..scenegen.manifest import Manifest, read_manifest
 from .adam import TrainConfig, adam_init, adam_step
 from .examples import Batch, build_batch, load_training_cache, make_example
@@ -148,20 +149,11 @@ def _apply_mode(batch: Batch, mode: str) -> Batch:
 
 def window_stft_distance(params, batch: Batch, arch: ArchConfig) -> float:
     """Mean per-window STFT distance of the difference-route channels."""
-    from ..nn.autodiff import Tensor
-
-    tparams = {k: Tensor(v) for k, v in params.items()}
-    vfeat, _ = visual_encode(batch.obs_t, tparams, arch)
-    masks = mask_head(spec_to_net(batch.mono_spec, arch), vfeat, tparams, arch)
-    md = masks["d"].data
-    n, frames, bins_net, _ = md.shape
-    frames_raw = batch.mono_spec.shape[1]
-    mono_net = batch.mono_spec[:, :, :bins_net]
-    dp = (md[:, :frames_raw, :, 0] + 1j * md[:, :frames_raw, :, 1]) * mono_net
-    dp_full = np.concatenate(
-        [dp, np.zeros((n, frames_raw, 1), dtype=np.complex128)], axis=2)
-    lp = batch.mono_spec + dp_full / 2.0
-    rp = batch.mono_spec - dp_full / 2.0
+    vfeat, _ = visual_encode(batch.obs_t, params, arch)
+    masks = mask_head(spec_to_net(batch.mono_spec, arch), vfeat, params, arch)
+    a_d = difference_spec(masks["d"].data, batch.mono_spec)
+    lp = batch.mono_spec + a_d / 2.0
+    rp = batch.mono_spec - a_d / 2.0
     dists = [np.linalg.norm(lp[i] - batch.gt_l[i])
-             + np.linalg.norm(rp[i] - batch.gt_r[i]) for i in range(n)]
+             + np.linalg.norm(rp[i] - batch.gt_r[i]) for i in range(len(a_d))]
     return float(np.mean(dists))

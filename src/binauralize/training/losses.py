@@ -42,57 +42,6 @@ class ConsistencyConfig:
             raise ValueError("margin must be >= 0 and delta_max > 0")
 
 
-def predicted_specs(masks: dict[str, Tensor], mono_spec: np.ndarray
-                    ) -> tuple[dict[str, tuple[Tensor, Tensor]], dict[str, np.ndarray]]:
-    """Apply the complex masks to the mono spectrogram.
-
-    masks: {"d","l","r"} -> (N, frames, bins, 2) bounded mask components on
-    the network grid. mono_spec: complex (N, frames_raw, bins_raw).
-
-    Returns per-key (real, imag) prediction Tensors on the network-bin grid
-    plus the constant Nyquist-bin predictions (zero for "d", the mono bin for
-    "l"/"r").
-    """
-    n, frames_raw, bins_raw = mono_spec.shape
-    bins_net = masks["d"].data.shape[2]
-    a_re = mono_spec.real[:, :, :bins_net]
-    a_im = mono_spec.imag[:, :, :bins_net]
-    preds = {}
-    for key, mask in masks.items():
-        m_re = mask[:, :frames_raw, :, 0]
-        m_im = mask[:, :frames_raw, :, 1]
-        preds[key] = (ad.sub(ad.mul(m_re, a_re), ad.mul(m_im, a_im)),
-                      ad.add(ad.mul(m_re, a_im), ad.mul(m_im, a_re)))
-    nyquist = {
-        "d": np.zeros((n, frames_raw), dtype=np.complex128),
-        "l": mono_spec[:, :, bins_net],
-        "r": mono_spec[:, :, bins_net],
-    }
-    return preds, nyquist
-
-
-def loss_backbone(pred_d, pred_l, pred_r, gt_d, gt_l, gt_r,
-                  nyquist: dict[str, np.ndarray] | None = None) -> Tensor:
-    """Squared L2 of the difference-channel error plus both channel errors."""
-    n = gt_d.shape[0]
-    total = None
-    for (p_re, p_im), gt in ((pred_d, gt_d), (pred_l, gt_l), (pred_r, gt_r)):
-        bins_net = p_re.data.shape[-1]
-        if gt.shape[1] != p_re.data.shape[1]:
-            raise ValueError(
-                f"frame mismatch: prediction {p_re.data.shape} vs gt {gt.shape}")
-        term = ad.tsum(ad.sub(p_re, gt.real[:, :, :bins_net]) ** 2) \
-            + ad.tsum(ad.sub(p_im, gt.imag[:, :, :bins_net]) ** 2)
-        total = term if total is None else ad.add(total, term)
-    loss = ad.mul(total, 1.0 / n)
-    if nyquist is not None:
-        const = 0.0
-        for key, gt in (("d", gt_d), ("l", gt_l), ("r", gt_r)):
-            const += float(np.sum(np.abs(gt[:, :, -1] - nyquist[key]) ** 2)) / n
-        loss = ad.add(loss, const)
-    return loss
-
-
 def masked_residual_sse(mask: Tensor, mono: np.ndarray, gt: np.ndarray) -> Tensor:
     """Fused sum |(m_re + i m_im) * mono - gt|^2 over frames_raw x bins_net.
 
@@ -126,10 +75,12 @@ def masked_residual_sse(mask: Tensor, mono: np.ndarray, gt: np.ndarray) -> Tenso
 def loss_backbone_from_masks(masks: dict[str, Tensor], mono_spec: np.ndarray,
                              gt_d: np.ndarray, gt_l: np.ndarray,
                              gt_r: np.ndarray) -> Tensor:
-    """Eq.-1-style objective straight from the bounded masks (fused path).
+    """Eq.-1-style objective straight from the bounded masks.
 
-    Equals loss_backbone(predicted_specs(...)) including the constant
-    Nyquist-bin contributions; verified against the composed path in tests.
+    Batch mean of |m_D a_M - A_D|^2 + |m_L a_M - A_L|^2 + |m_R a_M - A_R|^2
+    summed over bins. The Nyquist bin lies outside the network grid, where
+    the difference mask is zero and the channel masks are the identity, so
+    it adds the constant |A_D|^2 + |A_L - a_M|^2 + |A_R - a_M|^2 there.
     """
     n = mono_spec.shape[0]
     bins_net = masks["d"].data.shape[2]

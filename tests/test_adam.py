@@ -60,3 +60,9 @@ def test_non_finite_gradient_aborts_with_name():
     state = adam_init(params)
     with pytest.raises(FloatingPointError, match="coh.w"):
         adam_step(params, {"coh.w": np.array([1.0, np.nan, 0.0])}, state, 1, cfg)
+
+
+def test_keep_params_accepts_only_best_or_final():
+    assert TrainConfig(keep_params="final").keep_params == "final"
+    with pytest.raises(ValueError, match="keep_params"):
+        TrainConfig(keep_params="last")

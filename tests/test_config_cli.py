@@ -75,6 +75,15 @@ class TestCli:
         code = main(["model-info", "--config", str(bad)])
         assert code == 2
 
+    def test_nonpositive_schedule_flags_exit_2(self, tmp_path, capsys):
+        for flag in ("--epochs", "--batch-size"):
+            for value in ("0", "-3"):
+                with pytest.raises(SystemExit) as exc:
+                    main(["train", "--data", str(tmp_path / "missing"),
+                          "--out", str(tmp_path / "m.ckpt"), flag, value])
+                assert exc.value.code == 2
+                assert "must be positive" in capsys.readouterr().err
+
     def test_model_info_runs(self, capsys):
         code = main(["model-info", "--seed", "0"])
         assert code == 0

@@ -57,15 +57,6 @@ def test_error_homogeneity():
     np.testing.assert_allclose(d2, 2 * d1, rtol=1e-9)
 
 
-def test_difference_mode():
-    clip = make_clip(4, pan=0.7)
-    mono = clip.mono()
-    pred = BinauralClip(mono, mono)
-    d = stft_distance(pred, clip, P, mode="difference")
-    oracle = np.linalg.norm(stft(clip.difference(), P).bins)
-    np.testing.assert_allclose(d, oracle, rtol=1e-12)
-
-
 def test_env_distance_detects_channel_swap():
     clip = make_clip(5, pan=0.9)
     swapped = BinauralClip(clip.right, clip.left)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from binauralize.cli import main
 from binauralize.dsp import StftParams, Waveform, stft
+from binauralize.dsp.distances import env_distance, stft_distance
 from binauralize.evaluation import binauralize_clip, evaluate
-from binauralize.nn import ArchConfig, init_params
+from binauralize.evaluation.report import write_report
+from binauralize.nn import ArchConfig, init_params, save_checkpoint
 from binauralize.scenegen import SceneGenConfig, anechoic_bank, sample_scene, synthesize_record
 from binauralize.scenegen.manifest import read_manifest, write_manifest
 
@@ -27,6 +30,13 @@ def corpus(tmp_path_factory):
 @pytest.fixture(scope="module")
 def identity_params():
     return {k: v.astype(np.float32) for k, v in init_params(ARCH, seed=0).items()}
+
+
+@pytest.fixture(scope="module")
+def trained_like_params():
+    rng = np.random.default_rng(2)
+    return {k: (v + 0.05 * rng.standard_normal(v.shape)).astype(np.float32)
+            for k, v in init_params(ARCH, seed=2).items()}
 
 
 class TestBinauralize:
@@ -61,10 +71,8 @@ class TestBinauralize:
         with pytest.raises(ValueError, match="observations"):
             binauralize_clip(rec.clip.mono(), [], identity_params, ARCH, P)
 
-    def test_zero_transform_matches_zero_obs(self, corpus):
-        rng = np.random.default_rng(2)
-        params = {k: (v + 0.05 * rng.standard_normal(v.shape)).astype(np.float32)
-                  for k, v in init_params(ARCH, seed=2).items()}
+    def test_zero_transform_matches_zero_obs(self, corpus, trained_like_params):
+        params = trained_like_params
         rec = corpus.load(2)
         mono = rec.clip.mono()
         a = binauralize_clip(mono, rec.observations, params, ARCH, P,
@@ -104,3 +112,53 @@ class TestEvaluate:
     def test_unknown_method_needs_checkpoint(self, corpus):
         with pytest.raises(ValueError, match="checkpoint"):
             evaluate(corpus, {"full": None}, split="test")
+
+    def test_transform_is_rejected_for_builtin_or_unknown_kind(self, corpus,
+                                                               identity_params):
+        with pytest.raises(ValueError, match="transform"):
+            evaluate(corpus, {"mono-mono": None}, transforms={"mono-mono": "flip"})
+        with pytest.raises(ValueError, match="transform"):
+            evaluate(corpus, {"full": (identity_params, ARCH)},
+                     transforms={"full": "rotate"})
+
+    def test_flip_transform_matches_binauralize_clip(self, corpus,
+                                                     trained_like_params):
+        params = trained_like_params
+        report = evaluate(corpus, {"x": (params, ARCH)}, split="test",
+                          transforms={"x": "flip"})
+        sums = {"stft": 0.0, "env": 0.0}
+        test = corpus.split("test")
+        for rec in test:
+            pred = binauralize_clip(rec.clip.mono(), rec.observations, params,
+                                    ARCH, P, observation_transform="flip")
+            sums["stft"] += stft_distance(pred, rec.clip, P)
+            sums["env"] += env_distance(pred, rec.clip)
+        assert report.rows["x"] == {k: v / len(test) for k, v in sums.items()}
+
+    def test_report_files_byte_identical(self, corpus, identity_params, tmp_path):
+        methods = {"mono-mono": None, "full": (identity_params, ARCH)}
+        for tag in ("a", "b"):
+            write_report(evaluate(corpus, methods, split="test"),
+                         tmp_path / f"{tag}.txt")
+        for suffix in (".txt", ".txt.json"):
+            assert (tmp_path / f"a{suffix}").read_bytes() \
+                == (tmp_path / f"b{suffix}").read_bytes()
+
+    def test_cli_flipped_method_flips_observations(self, corpus,
+                                                   trained_like_params,
+                                                   tmp_path, capsys):
+        import json
+
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, trained_like_params, ARCH)
+        code = main(["eval", "--data", str(corpus.root),
+                     "--methods", "full,flipped",
+                     "--ckpt", f"full={ckpt}", "--ckpt", f"flipped={ckpt}",
+                     "--report", str(tmp_path / "r.txt")])
+        assert code == 0
+        assert "eval runtime" in capsys.readouterr().err
+        rows = json.loads((tmp_path / "r.txt.json").read_text())["rows"]
+        flipped = evaluate(corpus, {"x": (trained_like_params, ARCH)},
+                           transforms={"x": "flip"}).rows["x"]
+        assert rows["flipped"] == flipped
+        assert rows["flipped"] != rows["full"]

@@ -8,11 +8,10 @@ from binauralize.nn import autodiff as ad
 from binauralize.training import (
     ConsistencyConfig,
     LossWeights,
-    loss_backbone,
+    loss_backbone_from_masks,
     loss_coherence,
     loss_geometric,
     loss_rir,
-    predicted_specs,
 )
 
 ARCH = REDUCED_ARCH
@@ -37,12 +36,20 @@ def random_spec(rng, n=2, frames=ARCH.frames_raw, bins=ARCH.bins_raw):
         + 1j * rng.standard_normal((n, frames, bins))
 
 
+def binaural_specs(rng):
+    a_l = random_spec(rng)
+    a_r = random_spec(rng)
+    return a_l, a_r, (a_l + a_r) / 2, a_l - a_r
+
+
 class TestBackbone:
     rng = np.random.default_rng(0)
 
     def test_perfect_predictions_zero(self):
-        a_l = random_spec(self.rng)
-        a_r = random_spec(self.rng)
+        a_l, a_r, _, _ = binaural_specs(self.rng)
+        # equal Nyquist bins in both ears: the constant masks there (zero
+        # difference, identity channels) are then exact too
+        a_r[:, :, -1] = a_l[:, :, -1]
         a_m, a_d = (a_l + a_r) / 2, a_l - a_r
         # masks that reproduce the truth exactly: m = target / mono per bin
         masks = {}
@@ -52,20 +59,13 @@ class TestBackbone:
             m[:, :ARCH.frames_raw, :, 0] = ratio.real
             m[:, :ARCH.frames_raw, :, 1] = ratio.imag
             masks[key] = Tensor(m)
-        preds, _ = predicted_specs(masks, a_m)
-        # exclude the Nyquist constant (no mask can reproduce it)
-        loss = loss_backbone(preds["d"], preds["l"], preds["r"],
-                             a_d[:, :, :-1], a_l[:, :, :-1], a_r[:, :, :-1],
-                             nyquist=None)
+        loss = loss_backbone_from_masks(masks, a_m, a_d, a_l, a_r)
         assert loss.item() == pytest.approx(0.0, abs=1e-18)
 
     def test_identity_init_equals_mono_mono(self):
-        a_l = random_spec(self.rng)
-        a_r = random_spec(self.rng)
-        a_m, a_d = (a_l + a_r) / 2, a_l - a_r
-        preds, nyq = predicted_specs(random_masks(self.rng, identity=True), a_m)
-        loss = loss_backbone(preds["d"], preds["l"], preds["r"],
-                             a_d, a_l, a_r, nyq)
+        a_l, a_r, a_m, a_d = binaural_specs(self.rng)
+        loss = loss_backbone_from_masks(random_masks(self.rng, identity=True),
+                                        a_m, a_d, a_l, a_r)
         # mono-mono: ||A_D||^2 + 2 ||A_D/2||^2 = 1.5 ||A_D||^2 (batch mean)
         oracle = 1.5 * np.mean([np.sum(np.abs(a_d[i]) ** 2) for i in range(2)])
         assert loss.item() == pytest.approx(oracle, rel=1e-12)
@@ -73,17 +73,28 @@ class TestBackbone:
     def test_quadratic_homogeneity(self):
         # scaling spectrograms and predictions together doubles every error
         # term, so the loss scales by 4 (same masks, doubled inputs)
-        a_l = random_spec(self.rng)
-        a_r = random_spec(self.rng)
-        a_m, a_d = (a_l + a_r) / 2, a_l - a_r
+        a_l, a_r, a_m, a_d = binaural_specs(self.rng)
         masks = random_masks(self.rng)
-        preds, nyq = predicted_specs(masks, a_m)
-        base = loss_backbone(preds["d"], preds["l"], preds["r"],
-                             a_d, a_l, a_r, nyq).item()
-        preds2, nyq2 = predicted_specs(masks, 2 * a_m)
-        loss2 = loss_backbone(preds2["d"], preds2["l"], preds2["r"],
-                              2 * a_d, 2 * a_l, 2 * a_r, nyq2).item()
+        base = loss_backbone_from_masks(masks, a_m, a_d, a_l, a_r).item()
+        loss2 = loss_backbone_from_masks(masks, 2 * a_m, 2 * a_d, 2 * a_l,
+                                         2 * a_r).item()
         assert loss2 == pytest.approx(4 * base, rel=1e-12)
+
+    def test_matches_complex_eq1(self):
+        a_l, a_r, a_m, a_d = binaural_specs(self.rng)
+        masks = random_masks(self.rng)
+        n, frames = a_m.shape[:2]
+
+        def full_grid(key, nyquist):
+            m = masks[key].data[:, :frames]
+            return np.concatenate([m[..., 0] + 1j * m[..., 1],
+                                   np.full((n, frames, 1), nyquist)], axis=2)
+
+        oracle = sum(np.sum(np.abs(full_grid(key, nyq) * a_m - gt) ** 2)
+                     for key, nyq, gt in (("d", 0.0, a_d), ("l", 1.0, a_l),
+                                          ("r", 1.0, a_r))) / n
+        loss = loss_backbone_from_masks(masks, a_m, a_d, a_l, a_r)
+        assert loss.item() == pytest.approx(oracle, rel=1e-12)
 
 
 class TestCoherence:

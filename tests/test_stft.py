@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from binauralize.dsp import (
-    ComplexMask,
     ComplexSpectrogram,
     StftParams,
     Waveform,
-    apply_mask,
     istft,
+    istft_array,
     stft,
     valid_interior,
 )
@@ -91,32 +90,9 @@ def test_istft_zero_and_linearity():
         2 * istft(s).samples, atol=1e-9)
 
 
-def test_apply_mask_identity_zero_rotation():
-    s = stft(rand_wave(4), P)
-    ones = ComplexMask(np.ones_like(s.bins))
-    np.testing.assert_array_equal(apply_mask(ones, s).bins, s.bins)
-
-    zeros = ComplexMask(np.zeros_like(s.bins))
-    assert np.all(apply_mask(zeros, s).bins == 0)
-
-    rot = apply_mask(ComplexMask(np.full_like(s.bins, 1j)), s)
-    np.testing.assert_allclose(np.abs(rot.bins), np.abs(s.bins), atol=1e-12)
-    nz = np.abs(s.bins) > 1e-9
-    dphase = np.angle(rot.bins[nz] / s.bins[nz])
-    np.testing.assert_allclose(dphase, np.pi / 2, atol=1e-9)
-
-
-def test_apply_mask_shape_mismatch():
-    s = stft(rand_wave(5), P)
-    with pytest.raises(ValueError, match="shape"):
-        apply_mask(ComplexMask(np.ones((2, 257))), s)
-
-
-def test_mask_distributes_over_addition():
-    s1, s2 = stft(rand_wave(6), P), stft(rand_wave(7), P)
-    rng = np.random.default_rng(8)
-    m = ComplexMask(rng.standard_normal(s1.bins.shape)
-                    + 1j * rng.standard_normal(s1.bins.shape))
-    lhs = apply_mask(m, ComplexSpectrogram(s1.bins + s2.bins, P, SR)).bins
-    rhs = apply_mask(m, s1).bins + apply_mask(m, s2).bins
-    np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+def test_batched_istft_equals_per_row():
+    # three 0.63 s windows, the shape inference synthesizes at once
+    specs = np.stack([stft(rand_wave(seed, 0.63), P).bins for seed in (4, 5, 6)])
+    batched = istft_array(specs, P)
+    for row, spec in zip(batched, specs):
+        assert np.array_equal(row, istft(ComplexSpectrogram(spec, P, SR)).samples)

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -49,29 +47,18 @@ def generate_corpus(seed: int, out_dir, n_train: int = 200, n_val: int = 30,
     else:
         raise ValueError(f"unknown split mode {split_mode!r}")
 
-    # records stream into write_manifest, so memory holds O(jobs) records
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                  initargs=(cfg, seed)) as pool:
-            write_manifest(_in_order(pool, plans, 2 * jobs), out_dir,
-                           splits=labels)
+            records = list(pool.map(_build_record, plans, chunksize=2))
     else:
         _init_worker(cfg, seed)
-        write_manifest(map(_build_record, plans), out_dir, splits=labels)
+        records = [_build_record(p) for p in plans]
+
+    write_manifest(records, out_dir, splits=labels)
     manifest = read_manifest(Path(out_dir))
     verify_split(manifest, split_mode)
     return manifest
-
-
-def _in_order(pool, plans, depth: int) -> Iterator[SampleRecord]:
-    """Records in plan order, with at most `depth` submitted and not taken."""
-    pending = deque()
-    for plan in plans:
-        pending.append(pool.submit(_build_record, plan))
-        if len(pending) == depth:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
 
 
 def _init_worker(cfg: SceneGenConfig, seed: int) -> None:

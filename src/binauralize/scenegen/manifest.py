@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -27,25 +27,18 @@ from .types import ObservationImage, SampleRecord, SceneSpec
 MANIFEST_NAME = "manifest.jsonl"
 
 
-def write_manifest(records: Iterable[SampleRecord], out_dir,
+def write_manifest(records: list[SampleRecord], out_dir,
                    splits: list[str] | None = None) -> Path:
-    """Write every record's media, then the manifest; returns its path.
-
-    `records` may be a generator: each record is written before the next one
-    is drawn, so memory holds one record rather than the corpus.
-    """
     out = Path(out_dir)
     for sub in ("audio", "obs", "rir"):
         (out / sub).mkdir(parents=True, exist_ok=True)
+    if splits is None:
+        splits = [r.metadata.get("split", "train") for r in records]
+    if len(splits) != len(records):
+        raise ValueError("one split label per record required")
 
     lines = []
-    for i, rec in enumerate(records):
-        if splits is None:
-            split = rec.metadata.get("split", "train")
-        elif i < len(splits):
-            split = splits[i]
-        else:
-            raise ValueError("one split label per record required")
+    for rec, split in zip(records, splits):
         rid = rec.scene.scene_id
         audio_rel = f"audio/{rid}.wav"
         obs_rel = f"obs/{rid}.bnt"
@@ -75,8 +68,6 @@ def write_manifest(records: Iterable[SampleRecord], out_dir,
             "scene": rec.scene.to_json(),
             "metadata": rec.metadata,
         }, sort_keys=True))
-    if splits is not None and len(lines) != len(splits):
-        raise ValueError("one split label per record required")
     path = out / MANIFEST_NAME
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

@@ -6,19 +6,9 @@ plus a dedicated coherence run, evaluates everything on the test splits, and
 runs the RT60 probe. Takes roughly 45-60 minutes on a small CPU box; the
 result dictionary is also written to acceptance_summary.json next to the
 artifacts for inspection.
-
-`run_bundle` builds it in a child process under a time limit, so that a box
-too small for the bundle fails criteria 6-10 instead of hanging the suite.
-Run this file as a script to build the bundle without a time limit:
-
-    PYTHONPATH=src python tests/acceptance_bundle.py <out_dir>
 """
 
 import json
-import os
-import signal
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -85,43 +75,6 @@ def build_bundle(root) -> dict:
     return bundle
 
 
-def run_bundle(root, timeout_s: float) -> dict:
-    """Build the bundle in a child process group, killed after timeout_s.
-
-    Returns the bundle as read back from acceptance_summary.json. The child
-    and its training workers share one process group, so a timeout leaves
-    no process behind.
-    """
-    import binauralize
-
-    root = Path(root)
-    src = str(Path(binauralize.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    log = root / "bundle.log"
-    with open(log, "wb") as out:
-        proc = subprocess.Popen(
-            [sys.executable, str(Path(__file__).resolve()), str(root)],
-            stdout=out, stderr=subprocess.STDOUT, env=env,
-            start_new_session=True)
-        try:
-            code = proc.wait(timeout=timeout_s)
-        except subprocess.TimeoutExpired:
-            code = None
-        finally:
-            if proc.poll() is None:
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait()
-    if code is None:
-        raise RuntimeError(f"acceptance bundle not built within "
-                           f"{timeout_s:.0f}s (log: {log})")
-    if code != 0:
-        tail = log.read_text(errors="replace")[-2000:]
-        raise RuntimeError(f"acceptance bundle failed with exit code {code}:\n{tail}")
-    return json.loads((root / "acceptance_summary.json").read_text())
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -130,7 +83,3 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return float(obj)
     return obj
-
-
-if __name__ == "__main__":
-    build_bundle(sys.argv[1])

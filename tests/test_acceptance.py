@@ -2,10 +2,8 @@
 
 Criteria 7-10 share one end-to-end artifact bundle (two corpora, the full
 training grid over three seeds, a dedicated coherence run, and the RT60
-probe) built once per session in a child process; expect roughly 45-60
-minutes for the bundle on a small CPU box. The build is killed after
-BUNDLE_TIMEOUT_S, and criteria 6-10 then error with that message. The
-remaining criteria are direct property checks.
+probe) built once per session; expect roughly 45-60 minutes for the bundle
+on a small CPU box. The remaining criteria are direct property checks.
 """
 
 import json
@@ -186,17 +184,12 @@ def test_criterion_5_itd_ild():
 # heavy end-to-end bundle (criteria 6-10 artifacts)
 # --------------------------------------------------------------------------
 
-# Wall-clock limit for building the bundle; set
-# BINAURALIZE_BUNDLE_TIMEOUT (seconds) to give a slower box more time.
-BUNDLE_TIMEOUT_S = float(os.environ.get("BINAURALIZE_BUNDLE_TIMEOUT", "600"))
-
-
 @pytest.fixture(scope="session")
 def bundle(tmp_path_factory):
-    from acceptance_bundle import run_bundle
+    from acceptance_bundle import build_bundle
 
     root = tmp_path_factory.mktemp("acceptance")
-    return run_bundle(root, BUNDLE_TIMEOUT_S)
+    return build_bundle(root)
 
 
 @pytest.mark.slow

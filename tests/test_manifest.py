@@ -75,56 +75,6 @@ def test_total_duration_accounting(tmp_path):
     assert total == pytest.approx(sum(r.scene.duration for r in records))
 
 
-def test_generator_written_one_record_at_a_time(tmp_path):
-    records = make_records(3, start_seed=500)
-    written_before_draw = []
-
-    def stream():
-        for rec in records:
-            written_before_draw.append(
-                sorted(f.name for f in (tmp_path / "g" / "audio").iterdir()))
-            yield rec
-
-    write_manifest(stream(), tmp_path / "g", splits=["train", "val", "test"])
-    assert written_before_draw == [
-        [], ["scene-00500.wav"], ["scene-00500.wav", "scene-00501.wav"]]
-    write_manifest(records, tmp_path / "l", splits=["train", "val", "test"])
-    for rel in sorted(f.relative_to(tmp_path / "l")
-                      for f in (tmp_path / "l").rglob("*") if f.is_file()):
-        assert (tmp_path / "g" / rel).read_bytes() == \
-               (tmp_path / "l" / rel).read_bytes(), rel
-
-
-def test_split_count_mismatch_rejected(tmp_path):
-    records = make_records(2, start_seed=600)
-    with pytest.raises(ValueError, match="one split label per record"):
-        write_manifest(iter(records), tmp_path / "short", splits=["train"])
-    with pytest.raises(ValueError, match="one split label per record"):
-        write_manifest(iter(records), tmp_path / "long",
-                       splits=["train"] * 3)
-
-
-def test_in_order_bounds_records_in_flight():
-    from concurrent.futures import Future
-
-    from binauralize.scenegen import corpus
-
-    submitted = []
-
-    class Pool:
-        def submit(self, fn, plan):
-            submitted.append(plan)
-            future = Future()
-            future.set_result(plan)
-            return future
-
-    taken = []
-    for plan in corpus._in_order(Pool(), range(10), depth=4):
-        assert len(submitted) - len(taken) <= 4
-        taken.append(plan)
-    assert taken == list(range(10))
-
-
 class TestCorpus:
     def test_scene_split_generation(self, tmp_path):
         m = generate_corpus(7, tmp_path / "c", n_train=4, n_val=2, n_test=2,

@@ -13,7 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..dsp.stft import istft_array, stft
-from ..dsp.types import BinauralClip, StftParams, Waveform
+from ..dsp.types import DEFAULT_SAMPLE_RATE, BinauralClip, StftParams, \
+    Waveform
+from ..nn import autodiff as ad
 from ..nn.model import ArchConfig, difference_spec, mask_head, spec_to_net, \
     visual_encode
 
@@ -31,6 +33,9 @@ def binauralize_clip(mono: Waveform, observations, params, arch: ArchConfig,
     (horizontally mirrored frames).
     """
     sr = mono.sample_rate
+    if sr != DEFAULT_SAMPLE_RATE:
+        raise ValueError(f"mono audio is {sr} Hz; the model expects "
+                         f"{DEFAULT_SAMPLE_RATE} Hz")
     n = len(mono)
     win = int(round(WINDOW_SECONDS * sr))
     if n < win:
@@ -62,9 +67,10 @@ def binauralize_clip(mono: Waveform, observations, params, arch: ArchConfig,
                                      observation_transform))
         mono_spec = np.stack(specs)
         obs_batch = np.stack(frames).astype(dtype)
-        vfeat, _ = visual_encode(obs_batch, params, arch)
-        masks = mask_head(spec_to_net(mono_spec, arch, dtype), vfeat,
-                          params, arch)
+        with ad.no_grad():
+            vfeat, _ = visual_encode(obs_batch, params, arch)
+            masks = mask_head(spec_to_net(mono_spec, arch, dtype), vfeat,
+                              params, arch)
         a_d = istft_array(difference_spec(masks["d"].data, mono_spec), p)
         for k, s in enumerate(chunk):
             acc[s:s + out_len] += a_d[k] * tri

@@ -100,9 +100,10 @@ def coherence_accuracy(manifest, params, arch: ArchConfig,
     correct = total = 0
     for lo in range(0, len(examples), 64):
         batch = build_batch(examples[lo:lo + 64], dtype=dtype)
-        vfeat, _ = visual_encode(batch.obs_t, params, arch)
-        pair = pair_to_net(batch.coh_left, batch.coh_right, arch, dtype)
-        prob = coherence_classify(pair, vfeat, params, arch).data
+        with ad.no_grad():
+            vfeat, _ = visual_encode(batch.obs_t, params, arch)
+            pair = pair_to_net(batch.coh_left, batch.coh_right, arch, dtype)
+            prob = coherence_classify(pair, vfeat, params, arch).data
         correct += int(np.sum((prob > 0.5) == batch.flipped))
         total += len(batch)
     return correct / total
@@ -124,7 +125,8 @@ def _probe_dataset(manifest, split, edges, n_bins, frames_per_record: int = 8):
 
 
 def _probe_logits(probe, x, arch):
-    feat, _ = visual_encode(x, probe, arch)
+    with ad.no_grad():
+        feat, _ = visual_encode(x, probe, arch)
     return (feat.data @ probe["head.w"]) + probe["head.b"]
 
 
@@ -162,7 +164,8 @@ def export_features(manifest, checkpoint, out_path) -> int:
             azimuths = rec.metadata["azimuth_deg"]
             for lo in range(0, len(frames), 64):
                 chunk = frames[lo:lo + 64].astype(dtype)
-                feat, _ = visual_encode(chunk, params, arch)
+                with ad.no_grad():
+                    feat, _ = visual_encode(chunk, params, arch)
                 for i, vec in enumerate(feat.data):
                     vals = [f"{x:.6g}" for x in vec]
                     vals += [f"{rec.rt60:.6g}", f"{azimuths[lo + i]:.6g}"]
@@ -180,8 +183,9 @@ def predict_rir(observation_pixels: np.ndarray, checkpoint, out_prefix=None,
         raise ValueError("checkpoint lacks an RIR head")
     dtype = next(iter(params.values())).dtype
     obs = observation_pixels[None].astype(dtype)
-    feat, _ = visual_encode(obs, params, arch)
-    spec = rir_decode(feat, params, arch).data[0].astype(np.float64)
+    with ad.no_grad():
+        feat, _ = visual_encode(obs, params, arch)
+        spec = rir_decode(feat, params, arch).data[0].astype(np.float64)
     # (frames, bins, 2) -> per-channel magnitude spectrograms
     result = {"spectrogram": spec}
     waves, rt60s = [], []

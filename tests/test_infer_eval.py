@@ -40,6 +40,25 @@ def trained_like_params():
 
 
 class TestBinauralize:
+    @pytest.mark.parametrize("transform", ["none", "flip", "zero"])
+    def test_no_grad_leaves_output_bit_identical(self, corpus, trained_like_params,
+                                                 transform, monkeypatch):
+        from contextlib import nullcontext
+
+        from binauralize.nn import autodiff as ad
+
+        rec = corpus.load(1)
+
+        def run():
+            return binauralize_clip(rec.clip.mono(), rec.observations,
+                                    trained_like_params, ARCH, P,
+                                    observation_transform=transform).as_array()
+
+        plain = run()
+        monkeypatch.setattr(ad, "no_grad", nullcontext)
+        taped = run()
+        assert np.array_equal(plain, taped)
+
     def test_identity_init_reproduces_mono(self, corpus, identity_params):
         rec = corpus.load(0)
         mono = rec.clip.mono()

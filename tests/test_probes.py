@@ -65,6 +65,32 @@ def test_export_features_row_count_and_azimuth(tmp_path, corpus):
     assert got_az == pytest.approx(first.metadata["azimuth_deg"][0], abs=1e-4)
 
 
+def test_forward_only_probes_unchanged_by_no_grad(tmp_path, corpus, monkeypatch):
+    from contextlib import nullcontext
+
+    from binauralize.evaluation.probes import coherence_accuracy
+    from binauralize.nn import autodiff as ad
+
+    arch = ArchConfig()
+    rng = np.random.default_rng(5)
+    params = {k: (v + 0.05 * rng.standard_normal(v.shape)).astype(np.float32)
+              for k, v in init_params(arch, 5).items()}
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, params, arch)
+    obs = corpus.load(0).observation_nearest(5.0).pixels
+
+    def run():
+        return (coherence_accuracy(corpus, params, arch, n_windows=32),
+                predict_rir(obs, ckpt, griffin_lim_iters=2))
+
+    acc, rir = run()
+    monkeypatch.setattr(ad, "no_grad", nullcontext)
+    acc_taped, rir_taped = run()
+    assert acc == acc_taped
+    for key in ("spectrogram", "waveform"):
+        assert np.array_equal(rir[key], rir_taped[key]), key
+
+
 class TestPredictRir:
     def test_shapes_and_nonnegativity(self, tmp_path, corpus):
         arch = ArchConfig()

@@ -111,6 +111,73 @@ class TestGradientSuite:
             np.testing.assert_array_equal(g, 0.0)
 
 
+class TestTapeLifetime:
+    """backward() frees its tape on return; no_grad() records none."""
+
+    batch = synthetic_batch()
+    params = perturbed_params()
+
+    def test_grad_frees_its_tape_without_the_cycle_collector(self, monkeypatch):
+        import gc
+        import weakref
+
+        from binauralize.training import graph
+
+        refs = []
+        encode = graph.visual_encode
+
+        def watched(*args, **kwargs):
+            feat, extra = encode(*args, **kwargs)
+            refs.append(weakref.ref(feat.data))
+            return feat, extra
+
+        monkeypatch.setattr(graph, "visual_encode", watched)
+        gc.disable()
+        try:
+            grad("total", self.batch, self.params, ARCH)
+            alive = [r for r in refs if r() is not None]
+        finally:
+            gc.enable()
+        assert refs and not alive
+
+    def test_grad_inside_no_grad_raises(self):
+        from binauralize.nn import autodiff as ad
+
+        with ad.no_grad(), pytest.raises(RuntimeError, match="no_grad"):
+            grad("total", self.batch, self.params, ARCH)
+
+    def test_window_stft_distance_unchanged_by_no_grad(self, monkeypatch):
+        from contextlib import nullcontext
+
+        from binauralize.nn import autodiff as ad
+        from binauralize.training.loop import window_stft_distance
+
+        plain = window_stft_distance(self.params, self.batch, ARCH)
+        monkeypatch.setattr(ad, "no_grad", nullcontext)
+        taped = window_stft_distance(self.params, self.batch, ARCH)
+        assert np.array_equal(plain, taped)
+
+
+def test_run_one_creates_its_output_directory(tmp_path):
+    from binauralize.evaluation.protocol import ProtocolConfig, TrainJob, run_one
+    from binauralize.scenegen.manifest import write_manifest
+
+    cfg = SceneGenConfig(duration=10.0)
+    bank = anechoic_bank(cfg, seed=0)
+    records = []
+    for seed in (0, 1):
+        scene = sample_scene(seed, cfg, scene_id=f"scene-{seed}")
+        records.append(synthesize_record(scene, bank[scene.source_clip_id], cfg))
+    corpus = tmp_path / "corpus"
+    write_manifest(records, corpus, splits=["train", "train"])
+    protocol = ProtocolConfig(train=TrainConfig(
+        batch_size=2, epochs=1, windows_per_record=1, rir_pretrain_epochs=0))
+    job = TrainJob("backbone", 0, str(corpus), skip_eval=True)
+    result = run_one(protocol, job, tmp_path / "new" / "runs")
+    assert (tmp_path / "new" / "runs" / f"{job.name}.ckpt").is_file()
+    assert result["checkpoint"] == str(tmp_path / "new" / "runs" / f"{job.name}.ckpt")
+
+
 class TestKinkDetection:
     """The gradient suite's kink-side recorder and test-point search."""
 
